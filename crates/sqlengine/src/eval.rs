@@ -6,6 +6,7 @@ use crate::catalog::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{execute_query_with_outer, CteMap};
 use crate::functions;
+use crate::result::ResultSet;
 use crate::value::Value;
 use std::collections::HashMap;
 
@@ -89,11 +90,16 @@ pub struct Scope<'a> {
 }
 
 impl<'a> Scope<'a> {
-    pub fn row_scope(cols: &'a [ColMeta], row: &'a [Value]) -> Scope<'a> {
+    /// The scope of one plain row, inside an optional enclosing scope.
+    pub fn row_scope(
+        cols: &'a [ColMeta],
+        row: &'a [Value],
+        parent: Option<&'a Scope<'a>>,
+    ) -> Scope<'a> {
         Scope {
             cols,
             row,
-            parent: None,
+            parent,
             group: None,
             windows: None,
             aggs: None,
@@ -126,10 +132,23 @@ impl<'a> Scope<'a> {
     }
 }
 
+/// Executes one SELECT body with its ORDER BY and LIMIT.
+pub(crate) type SelectFn = fn(
+    &EvalEnv<'_>,
+    &Select,
+    Option<&Scope<'_>>,
+    &[OrderItem],
+    Option<u64>,
+) -> EngineResult<ResultSet>;
+
 /// External state needed by subquery evaluation.
+#[derive(Clone, Copy)]
 pub struct EvalEnv<'a> {
     pub db: &'a Database,
     pub ctes: &'a CteMap,
+    /// The engine every SELECT body of the statement runs on, subqueries
+    /// and CTEs included.
+    pub(crate) select: SelectFn,
 }
 
 /// Evaluate `expr` in `scope`.
@@ -190,7 +209,7 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let result = execute_query_with_outer(env.db, subquery, env.ctes, Some(scope))?;
+            let result = execute_query_with_outer(env, subquery, Some(scope))?;
             if result.columns.len() != 1 {
                 return Err(EngineError::typing(
                     "IN subquery must return exactly one column",
@@ -277,11 +296,11 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
         }
         Expr::Function(call) => eval_function(expr, call, scope, env),
         Expr::Exists { subquery, negated } => {
-            let result = execute_query_with_outer(env.db, subquery, env.ctes, Some(scope))?;
+            let result = execute_query_with_outer(env, subquery, Some(scope))?;
             Ok(Value::Boolean(result.rows.is_empty() == *negated))
         }
         Expr::ScalarSubquery(subquery) => {
-            let result = execute_query_with_outer(env.db, subquery, env.ctes, Some(scope))?;
+            let result = execute_query_with_outer(env, subquery, Some(scope))?;
             if result.columns.len() != 1 {
                 return Err(EngineError::typing(
                     "scalar subquery must return exactly one column",
@@ -335,16 +354,7 @@ fn eval_function(
         })?;
         let mut acc = Accumulator::for_function(&call.name, call.distinct, call.star)?;
         for &idx in group.indices {
-            let row = &group.rel.rows[idx];
-            let inner = Scope {
-                cols: &group.rel.cols,
-                row,
-                parent: scope.parent,
-                group: None,
-                windows: None,
-                aggs: None,
-                unit_index: 0,
-            };
+            let inner = Scope::row_scope(&group.rel.cols, &group.rel.rows[idx], scope.parent);
             if call.star {
                 acc.update(&Value::Integer(1))?;
             } else {

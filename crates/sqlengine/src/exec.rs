@@ -1,16 +1,24 @@
-//! Query execution: engine dispatch, set operations, and the vectorized
-//! columnar planner.
+//! Query execution: the SELECT pipeline, set operations, and CTEs.
 //!
-//! Two engines share one semantic contract. The default
-//! [`Engine::Vectorized`] path resolves FROM clauses into columnar
-//! [`DataChunk`] batches (hash joins for equi-joins), evaluates WHERE /
-//! group keys / aggregate arguments batch-at-a-time, and falls back to
-//! row-at-a-time evaluation for anything the batch evaluator cannot
-//! lower — so results, fingerprints, and error behavior stay identical
-//! to [`Engine::Reference`], the original materializing interpreter
-//! (kept fully reachable in `reference`). CTEs are materialized once in
-//! definition order and visible to later CTEs and the main body,
-//! matching the CTE-normal-form queries GenEdit generates (§3.1.2).
+//! Every SELECT body runs through one pipeline, `exec_select`: the
+//! FROM clause resolves into a columnar [`DataChunk`] (hash joins for
+//! equi-joins), then WHERE, grouping, aggregates, windows and
+//! projection run in that order. Each expression is lowered with
+//! [`vector::bind`] and evaluated batch-at-a-time where it can be; only
+//! an expression that does not lower (a subquery, a window call, an
+//! expression over aggregates) is evaluated row by row with
+//! [`eval_expr`], over rows materialized just for it: the group
+//! representatives, or every member when HAVING, window functions or
+//! conditional aggregates read them. Aggregates are accumulated in one
+//! scan routed by group id. ORDER BY, DISTINCT and LIMIT run by index
+//! over the output columns, shared with set operations. CTEs are
+//! materialized once in definition order and visible to later CTEs and
+//! the main body, matching the CTE-normal-form queries GenEdit
+//! generates (§3.1.2).
+//!
+//! The row-at-a-time interpreter the pipeline must agree with is a
+//! separate entry point, `execute_sql_reference`, used only by
+//! differential tests and benchmarks.
 
 use crate::aggregate::Accumulator;
 use crate::array::{Array, DataChunk};
@@ -19,60 +27,23 @@ use crate::catalog::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
     collect_aggregate_calls, collect_unconditional_aggregates, collect_window_calls,
-    contains_aggregate, eval_expr, AggValues, ColMeta, EvalEnv, Relation, Scope, WindowValues,
+    contains_aggregate, eval_expr, AggValues, ColMeta, EvalEnv, Relation, Scope, SelectFn,
+    WindowValues,
 };
-use crate::key::{key_elem, key_ref, row_key, KeyElem, KeyRef};
+use crate::key::{key_elem, key_ref, row_key, KeyElem};
 use crate::parser::parse_statement;
 use crate::physical::{self, SqlCounters};
-use crate::reference;
 use crate::result::ResultSet;
 use crate::value::Value;
 use crate::vector::{self, Sel};
 use crate::window::{compute_windows, unit_scope, Unit};
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// CTE name → materialized result, keyed by lowercase name.
 pub type CteMap = HashMap<String, Arc<ResultSet>>;
-
-// ----------------------------------------------------------------------
-// Engine selection
-// ----------------------------------------------------------------------
-
-/// Which execution engine runs SELECT bodies on this thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Batch-at-a-time columnar execution (the default).
-    Vectorized,
-    /// The original row-at-a-time interpreter, kept as the semantic
-    /// baseline for differential testing and benchmarking.
-    Reference,
-}
-
-thread_local! {
-    static ENGINE: Cell<Engine> = const { Cell::new(Engine::Vectorized) };
-}
-
-/// The engine SELECT bodies currently execute on (per thread).
-pub fn current_engine() -> Engine {
-    ENGINE.with(Cell::get)
-}
-
-/// Run `f` with `engine` selected on this thread, restoring the previous
-/// selection afterwards.
-pub fn with_engine<T>(engine: Engine, f: impl FnOnce() -> T) -> T {
-    let prev = ENGINE.with(|e| e.replace(engine));
-    let out = f();
-    ENGINE.with(|e| e.set(prev));
-    out
-}
-
-/// Parse and execute a SQL string on the reference row-at-a-time
-/// interpreter, regardless of the thread's current engine selection.
-pub fn execute_sql_reference(db: &Database, sql: &str) -> EngineResult<ResultSet> {
-    with_engine(Engine::Reference, || execute_sql(db, sql))
-}
 
 /// Parse and execute a SQL string against a database.
 pub fn execute_sql(db: &Database, sql: &str) -> EngineResult<ResultSet> {
@@ -92,7 +63,7 @@ pub struct ExecStats {
     pub rows: usize,
     /// Columns in the result set.
     pub columns: usize,
-    /// Columnar execution counters (all zero on the reference engine).
+    /// Columnar execution counters: scans, joins and groups.
     pub counters: SqlCounters,
 }
 
@@ -153,73 +124,89 @@ pub fn execute_sql_timed(db: &Database, sql: &str) -> (EngineResult<ResultSet>, 
 
 /// Execute a parsed statement.
 pub fn execute(db: &Database, stmt: &Statement) -> EngineResult<ResultSet> {
-    match stmt {
-        Statement::Query(q) => execute_query_with_outer(db, q, &CteMap::new(), None),
-    }
+    execute_with(db, stmt, exec_select)
+}
+
+/// Execute a parsed statement with `select` running every SELECT body,
+/// those of subqueries and CTEs included.
+pub(crate) fn execute_with(
+    db: &Database,
+    stmt: &Statement,
+    select: SelectFn,
+) -> EngineResult<ResultSet> {
+    let Statement::Query(q) = stmt;
+    let ctes = CteMap::new();
+    let env = EvalEnv {
+        db,
+        ctes: &ctes,
+        select,
+    };
+    execute_query_with_outer(&env, q, None)
 }
 
 /// Execute a query, optionally with an outer row scope for correlated
-/// subqueries and a set of inherited CTEs.
+/// subqueries; `env` carries the inherited CTEs.
 pub fn execute_query_with_outer(
-    db: &Database,
+    env: &EvalEnv<'_>,
     query: &Query,
-    inherited: &CteMap,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<ResultSet> {
-    let mut ctes = inherited.clone();
+    let mut ctes = env.ctes.clone();
     for cte in &query.ctes {
         // CTEs see previously defined CTEs but not the outer row scope.
-        let result = execute_query_with_outer(db, &cte.query, &ctes, None)?;
+        let result = execute_query_with_outer(
+            &EvalEnv {
+                ctes: &ctes,
+                ..*env
+            },
+            &cte.query,
+            None,
+        )?;
         ctes.insert(cte.name.to_lowercase(), Arc::new(result));
     }
+    let env = EvalEnv {
+        ctes: &ctes,
+        ..*env
+    };
 
     match &query.body {
-        SetExpr::Select(select) => {
-            exec_select(db, select, &ctes, outer, &query.order_by, query.limit)
-        }
+        SetExpr::Select(select) => (env.select)(&env, select, outer, &query.order_by, query.limit),
         SetExpr::SetOp { .. } => {
-            let mut rs = exec_set_expr(db, &query.body, &ctes, outer)?;
-            sort_result_by_output(&mut rs, &query.order_by)?;
-            if let Some(n) = query.limit {
-                rs.rows.truncate(n as usize);
-            }
-            Ok(rs)
+            let rs = exec_set_expr(&env, &query.body, outer)?;
+            let n = rs.rows.len();
+            let chunk = DataChunk::from_rows(rs.rows, rs.columns.len());
+            finish(
+                rs.columns,
+                chunk.cols,
+                n,
+                &query.order_by,
+                false,
+                query.limit,
+                |_| {
+                    Err(EngineError::typing(
+                        "ORDER BY over a set operation must reference output columns",
+                    ))
+                },
+            )
         }
-    }
-}
-
-/// Dispatch one SELECT body to the engine selected on this thread, so
-/// subqueries and CTEs stay in-engine with their parent query.
-fn exec_select(
-    db: &Database,
-    select: &Select,
-    ctes: &CteMap,
-    outer: Option<&Scope<'_>>,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-) -> EngineResult<ResultSet> {
-    match current_engine() {
-        Engine::Vectorized => exec_select_vectorized(db, select, ctes, outer, order_by, limit),
-        Engine::Reference => reference::exec_select(db, select, ctes, outer, order_by, limit),
     }
 }
 
 fn exec_set_expr(
-    db: &Database,
+    env: &EvalEnv<'_>,
     body: &SetExpr,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<ResultSet> {
     match body {
-        SetExpr::Select(select) => exec_select(db, select, ctes, outer, &[], None),
+        SetExpr::Select(select) => (env.select)(env, select, outer, &[], None),
         SetExpr::SetOp {
             op,
             all,
             left,
             right,
         } => {
-            let l = exec_set_expr(db, left, ctes, outer)?;
-            let r = exec_set_expr(db, right, ctes, outer)?;
+            let l = exec_set_expr(env, left, outer)?;
+            let r = exec_set_expr(env, right, outer)?;
             if l.columns.len() != r.columns.len() {
                 return Err(EngineError::typing(format!(
                     "set operation arity mismatch: {} vs {} columns",
@@ -234,8 +221,7 @@ fn exec_set_expr(
                     out.rows.extend(r.rows);
                 }
                 (SetOp::Union, false) => {
-                    let mut seen: std::collections::HashSet<Vec<KeyElem>> =
-                        std::collections::HashSet::new();
+                    let mut seen: HashSet<Vec<KeyElem>> = HashSet::new();
                     for row in l.rows.into_iter().chain(r.rows) {
                         if seen.insert(row_key(&row)) {
                             out.rows.push(row);
@@ -287,418 +273,378 @@ fn exec_set_expr(
 }
 
 // ----------------------------------------------------------------------
-// Vectorized SELECT
+// The SELECT pipeline
 // ----------------------------------------------------------------------
 
-fn exec_select_vectorized(
-    db: &Database,
+/// The rows one SELECT body works on: position `p` is chunk row
+/// `sel[p]`, or row `p` when `sel` is `None`. The row-major copy that
+/// row-evaluated expressions read is made on first use.
+struct Rows {
+    cols: Vec<ColMeta>,
+    chunk: DataChunk,
+    sel: Option<Vec<u32>>,
+    rel: OnceCell<Relation>,
+}
+
+impl Rows {
+    fn new(cols: Vec<ColMeta>, chunk: DataChunk, sel: Option<Vec<u32>>) -> Rows {
+        Rows {
+            cols,
+            chunk,
+            sel,
+            rel: OnceCell::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sel.as_ref().map_or(self.chunk.len(), Vec::len)
+    }
+
+    fn sel(&self) -> Sel<'_> {
+        self.sel.as_deref().map_or(Sel::All, Sel::Idx)
+    }
+
+    /// Every position's row, materialized once.
+    fn relation(&self) -> &Relation {
+        self.rel.get_or_init(|| Relation {
+            cols: self.cols.clone(),
+            rows: match &self.sel {
+                None => self.chunk.to_rows(),
+                Some(k) => self.chunk.take(k).into_rows(),
+            },
+        })
+    }
+}
+
+/// The expressions of the SELECT list and ORDER BY, in that order.
+fn select_exprs<'a>(
+    select: &'a Select,
+    order_by: &'a [OrderItem],
+) -> impl Iterator<Item = &'a Expr> {
+    let items = select.items.iter().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    items.chain(order_by.iter().map(|o| &o.expr))
+}
+
+/// Execute one SELECT body: FROM → WHERE → grouping → aggregates →
+/// windows → projection → ORDER BY / DISTINCT / LIMIT.
+pub(crate) fn exec_select(
+    env: &EvalEnv<'_>,
     select: &Select,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
     order_by: &[OrderItem],
     limit: Option<u64>,
 ) -> EngineResult<ResultSet> {
-    let env = EvalEnv { db, ctes };
-
-    // FROM → columnar source.
-    let source = match &select.from {
-        Some(tr) => physical::resolve_from_columnar(db, tr, ctes, outer)?,
+    let physical::Source { cols, chunk } = match &select.from {
+        Some(tr) => physical::resolve_from_columnar(env, tr, outer)?,
         None => physical::Source {
             cols: Vec::new(),
             chunk: DataChunk::unit(),
         },
     };
-    let physical::Source { cols, chunk } = source;
+    let mut rows = Rows::new(cols, chunk, None);
 
-    // WHERE → surviving row indices (`None` = keep everything). The
-    // gather is deferred so the pure path can project straight off the
-    // source columns under a selection vector. Batch evaluation when the
-    // predicate lowers; otherwise the row path reproduces per-row errors
-    // exactly.
-    let keep: Option<Vec<u32>> = match &select.selection {
-        None => None,
-        Some(pred) => match vector::bind(pred, &cols, outer) {
-            Some(v) => {
-                let arr = vector::eval(&v, &chunk, Sel::All)?;
-                let truth = vector::truth(&arr)?;
-                Some(
-                    truth
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &t)| t == Some(true))
-                        .map(|(i, _)| i as u32)
-                        .collect(),
-                )
-            }
+    // WHERE → surviving positions. A predicate that does not lower is
+    // tested row by row, so the first failing row raises its error.
+    if let Some(pred) = &select.selection {
+        let keep: Vec<u32> = match vector::bind(pred, &rows.cols, outer) {
+            Some(v) => vector::truth(&*vector::eval(&v, &rows.chunk, Sel::All)?)?
+                .iter()
+                .enumerate()
+                .filter(|&(_, &t)| t == Some(true))
+                .map(|(i, _)| i as u32)
+                .collect(),
             None => {
-                let rows = chunk.to_rows();
-                let mut keep: Vec<u32> = Vec::new();
-                for (i, row) in rows.iter().enumerate() {
-                    let scope = Scope {
-                        cols: &cols,
-                        row,
-                        parent: outer,
-                        group: None,
-                        windows: None,
-                        aggs: None,
-                        unit_index: 0,
-                    };
-                    if eval_expr(pred, &scope, &env)?.as_bool()? == Some(true) {
+                let rel = rows.relation();
+                let mut keep = Vec::new();
+                for (i, row) in rel.rows.iter().enumerate() {
+                    let scope = Scope::row_scope(&rel.cols, row, outer);
+                    if eval_expr(pred, &scope, env)?.as_bool()? == Some(true) {
                         keep.push(i as u32);
                     }
                 }
-                Some(keep)
+                keep
             }
-        },
-    };
+        };
+        rows = Rows::new(rows.cols, rows.chunk, Some(keep));
+    }
 
-    // Is this an aggregated query?
-    let items_have_aggregates = select.items.iter().any(|item| match item {
-        SelectItem::Expr { expr, .. } => contains_aggregate(expr),
-        _ => false,
-    });
     let aggregated = !select.group_by.is_empty()
-        || items_have_aggregates
-        || select
-            .having
-            .as_ref()
-            .map(contains_aggregate)
-            .unwrap_or(false)
-        || select.having.is_some();
-
-    // Window calls.
+        || select.having.is_some()
+        || select.items.iter().any(|item| match item {
+            SelectItem::Expr { expr, .. } => contains_aggregate(expr),
+            _ => false,
+        });
     let mut window_exprs: Vec<&Expr> = Vec::new();
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_window_calls(expr, &mut window_exprs);
-        }
-    }
-    for o in order_by {
-        collect_window_calls(&o.expr, &mut window_exprs);
+    for expr in select_exprs(select, order_by) {
+        collect_window_calls(expr, &mut window_exprs);
     }
 
-    // Fully columnar path: no grouping, no windows, every projected and
-    // ordering expression lowers to a batch expression.
-    if !aggregated && window_exprs.is_empty() {
-        if let Some(rs) = try_pure_path(
-            select,
-            &cols,
-            &chunk,
-            keep.as_deref(),
-            outer,
-            order_by,
-            limit,
-        )? {
-            return Ok(rs);
-        }
-    }
-
-    let filtered = match &keep {
-        Some(k) => chunk.take(k),
-        None => chunk,
-    };
-
-    // Fast aggregated path: group keys and every aggregate call lower,
-    // so only representative rows ever need materializing.
-    if aggregated && window_exprs.is_empty() && select.having.is_none() {
-        if let Some(rs) = try_fast_agg(select, &cols, &filtered, outer, &env, order_by, limit)? {
-            return Ok(rs);
-        }
-    }
-
-    // Hybrid path: materialize the filtered batch and run the unit
-    // pipeline, vectorizing group keys and aggregate arguments when they
-    // lower and falling back per expression when they don't.
-    let rel = Relation {
-        cols,
-        rows: filtered.to_rows(),
-    };
-    let kept: Vec<usize> = (0..rel.rows.len()).collect();
-
-    let mut units: Vec<Unit> = Vec::new();
+    let mut aggs = AggValues::new();
+    let mut units: Vec<Unit>;
     if aggregated {
-        if select.group_by.is_empty() {
-            units.push(Unit {
-                rep: kept.first().copied().unwrap_or(usize::MAX),
-                members: kept.clone(),
-            });
-        } else {
-            units = build_group_units(select, &rel, &filtered, &kept, outer, &env)?;
+        let mut gids;
+        (units, gids) = group(select, &rows, outer, env)?;
+        if !select.group_by.is_empty() {
             physical::with_counters(|c| c.agg_groups += units.len() as u64);
         }
-        // HAVING runs through the accumulator path (no pre-computed
-        // aggregates), preserving the interpreter's per-unit laziness.
+        // HAVING runs on the accumulator path before any aggregate is
+        // precomputed, so it is exactly as lazy as the interpreter.
         if let Some(having) = &select.having {
+            let rel = rows.relation();
+            let mut new_gid = vec![u32::MAX; units.len()];
             let mut survivors = Vec::with_capacity(units.len());
-            for unit in units {
-                let scope = unit_scope(&rel, &unit, outer, None, None, 0, aggregated);
-                if eval_expr(having, &scope, &env)?.as_bool()? == Some(true) {
+            for (g, unit) in units.into_iter().enumerate() {
+                let scope = unit_scope(rel, &unit, outer, None, None, 0, true);
+                if eval_expr(having, &scope, env)?.as_bool()? == Some(true) {
+                    new_gid[g] = survivors.len() as u32;
                     survivors.push(unit);
                 }
             }
             units = survivors;
+            for gid in &mut gids {
+                *gid = new_gid[*gid as usize];
+            }
+        }
+        let mut unconditional: Vec<&Expr> = Vec::new();
+        let mut all_calls: Vec<&Expr> = Vec::new();
+        for expr in select_exprs(select, order_by) {
+            collect_unconditional_aggregates(expr, &mut unconditional);
+            collect_aggregate_calls(expr, &mut all_calls);
+        }
+        aggs = precompute_aggregates(&unconditional, &rows, units.len(), &gids, outer)?;
+        // Nothing reads group members any more: keep only one
+        // representative row per group.
+        if select.having.is_none()
+            && window_exprs.is_empty()
+            && all_calls.iter().all(|c| aggs.contains_key(&c.to_string()))
+        {
+            let sel = rows.sel();
+            let reps: Vec<u32> = units
+                .iter()
+                .filter(|u| u.rep != usize::MAX)
+                .map(|u| sel.at(u.rep))
+                .collect();
+            rows = Rows::new(rows.cols, rows.chunk.take(&reps), None);
+            let mut next = 0;
+            for u in &mut units {
+                u.members = Vec::new();
+                if u.rep != usize::MAX {
+                    u.rep = next;
+                    next += 1;
+                }
+            }
         }
     } else {
-        units = kept
-            .iter()
-            .map(|&i| Unit {
-                rep: i,
-                members: vec![i],
+        units = (0..rows.len())
+            .map(|rep| Unit {
+                rep,
+                members: Vec::new(),
             })
             .collect();
     }
 
-    // Pre-compute unconditionally evaluated aggregates batch-at-a-time.
-    let aggs = if aggregated {
-        precompute_aggregates(select, order_by, &rel.cols, &filtered, &units, outer)?
+    let windows = if window_exprs.is_empty() {
+        WindowValues::new()
     } else {
-        AggValues::new()
+        compute_windows(
+            rows.relation(),
+            &units,
+            &window_exprs,
+            outer,
+            env,
+            aggregated,
+        )?
     };
+    let proj = Projection::new(&rows, &units, outer, env, &windows, &aggs, aggregated);
 
-    let windows = compute_windows(&rel, &units, &window_exprs, outer, &env, aggregated)?;
+    let n = units.len();
+    let mut out_cols: Vec<String> = Vec::new();
+    let mut arrays: Vec<Arc<Array>> = Vec::new();
+    for item in &select.items {
+        let qualifier = match item {
+            SelectItem::Expr { expr, alias } => {
+                out_cols.push(output_name(expr, alias.as_deref()));
+                arrays.push(proj.column(expr)?);
+                continue;
+            }
+            SelectItem::Wildcard => None,
+            SelectItem::QualifiedWildcard(q) => Some(q),
+        };
+        if aggregated && n > 0 {
+            return Err(EngineError::typing(match qualifier {
+                None => "SELECT * is not allowed with GROUP BY / aggregates",
+                Some(_) => "qualified * is not allowed with GROUP BY / aggregates",
+            }));
+        }
+        let width = arrays.len();
+        for (ci, c) in rows.cols.iter().enumerate() {
+            let matches = qualifier.is_none_or(|q| {
+                c.qualifier
+                    .as_deref()
+                    .is_some_and(|cq| cq.eq_ignore_ascii_case(q))
+            });
+            if matches {
+                out_cols.push(c.name.clone());
+                arrays.push(proj.source_column(ci));
+            }
+        }
+        if let Some(q) = qualifier {
+            if arrays.len() == width && n > 0 {
+                return Err(EngineError::binding(format!("no such table alias {q}")));
+            }
+        }
+    }
 
-    finish_select(
-        select,
-        &rel,
-        &units,
-        &windows,
-        Some(&aggs),
-        outer,
-        &env,
+    finish(
+        out_cols,
+        arrays,
+        n,
         order_by,
+        select.distinct,
         limit,
-        aggregated,
+        |expr| {
+            if select.distinct {
+                return Err(EngineError::typing(
+                    "ORDER BY expression must appear in SELECT DISTINCT output",
+                ));
+            }
+            proj.column(expr)
+        },
     )
 }
 
-/// Build GROUP BY units with typed keys, evaluating the group
-/// expressions batch-at-a-time when they lower.
-fn build_group_units(
+/// GROUP BY: the groups in first-occurrence order, plus each position's
+/// group id. The keys are batch-evaluated when all of them lower, else
+/// row by row (key by key within a row, as the interpreter raises
+/// errors). Without GROUP BY there is one group of every row, whose
+/// representative is `usize::MAX` when there are no rows.
+fn group(
     select: &Select,
-    rel: &Relation,
-    chunk: &DataChunk,
-    kept: &[usize],
+    rows: &Rows,
     outer: Option<&Scope<'_>>,
     env: &EvalEnv<'_>,
-) -> EngineResult<Vec<Unit>> {
-    if let Some((units, _)) = vectorized_group_units(&select.group_by, &rel.cols, chunk, outer)? {
-        return Ok(units);
-    }
-
-    // Row fallback: identical to the reference interpreter.
-    let mut units: Vec<Unit> = Vec::new();
-    let mut index: HashMap<Vec<KeyElem>, usize> = HashMap::new();
-    for &i in kept {
-        let scope = Scope {
-            cols: &rel.cols,
-            row: &rel.rows[i],
-            parent: outer,
-            group: None,
-            windows: None,
-            aggs: None,
-            unit_index: 0,
+) -> EngineResult<(Vec<Unit>, Vec<u32>)> {
+    let n = rows.len();
+    if select.group_by.is_empty() {
+        let rep = if n == 0 { usize::MAX } else { 0 };
+        let unit = Unit {
+            rep,
+            members: (0..n).collect(),
         };
-        let mut key = Vec::with_capacity(select.group_by.len());
-        for g in &select.group_by {
-            key.push(key_elem(&eval_expr(g, &scope, env)?));
-        }
-        match index.get(&key) {
-            Some(&u) => units[u].members.push(i),
-            None => {
-                index.insert(key, units.len());
-                units.push(Unit {
-                    rep: i,
-                    members: vec![i],
-                });
-            }
-        }
+        return Ok((vec![unit], vec![0; n]));
     }
-    Ok(units)
-}
-
-/// Group the chunk's rows by the batch-evaluated GROUP BY keys, in
-/// first-occurrence order (matching the interpreter's unit order).
-/// Also returns the per-row group id (`gids[i]` = unit index of row
-/// `i`), which the fast aggregation path scans instead of per-unit
-/// selection vectors. Returns `Ok(None)` when some group expression
-/// does not lower.
-#[allow(clippy::type_complexity)]
-fn vectorized_group_units(
-    group_by: &[Expr],
-    cols: &[ColMeta],
-    chunk: &DataChunk,
-    outer: Option<&Scope<'_>>,
-) -> EngineResult<Option<(Vec<Unit>, Vec<u32>)>> {
-    let bound: Option<Vec<vector::VExpr>> = group_by
+    let bound: Option<Vec<vector::VExpr>> = select
+        .group_by
         .iter()
-        .map(|g| vector::bind(g, cols, outer))
+        .map(|g| vector::bind(g, &rows.cols, outer))
         .collect();
-    let Some(vs) = bound else {
-        return Ok(None);
-    };
-    let mut arrays: Vec<Arc<Array>> = Vec::with_capacity(vs.len());
-    for v in &vs {
-        arrays.push(vector::eval(v, chunk, Sel::All)?);
-    }
-    let mut units: Vec<Unit> = Vec::new();
-    let mut gids: Vec<u32> = Vec::with_capacity(chunk.len());
-    if let [a] = arrays.as_slice() {
-        // Single-key grouping probes with borrowed keys: no allocation
-        // per row at all.
-        let mut index: HashMap<KeyRef<'_>, usize> = HashMap::new();
-        for i in 0..chunk.len() {
-            match index.entry(key_ref(a.at(i))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    gids.push(*e.get() as u32);
-                    units[*e.get()].members.push(i);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    gids.push(units.len() as u32);
-                    e.insert(units.len());
-                    units.push(Unit {
-                        rep: i,
-                        members: vec![i],
-                    });
-                }
-            }
-        }
-        return Ok(Some((units, gids)));
-    }
-    let mut index: HashMap<Vec<KeyRef<'_>>, usize> = HashMap::new();
-    for i in 0..chunk.len() {
-        let key: Vec<KeyRef<'_>> = arrays.iter().map(|a| key_ref(a.at(i))).collect();
-        match index.get(&key) {
-            Some(&u) => {
-                gids.push(u as u32);
-                units[u].members.push(i);
-            }
-            None => {
-                gids.push(units.len() as u32);
-                index.insert(key, units.len());
-                units.push(Unit {
-                    rep: i,
-                    members: vec![i],
-                });
-            }
-        }
-    }
-    Ok(Some((units, gids)))
-}
-
-/// Pre-compute per-unit values for aggregate calls that the projection
-/// and ORDER BY evaluate unconditionally. Conditionally evaluated calls
-/// (short-circuited operands, CASE branches) keep the accumulator path
-/// so their evaluation — and its errors — stays exactly as lazy as the
-/// interpreter's.
-fn precompute_aggregates(
-    select: &Select,
-    order_by: &[OrderItem],
-    cols: &[ColMeta],
-    chunk: &DataChunk,
-    units: &[Unit],
-    outer: Option<&Scope<'_>>,
-) -> EngineResult<AggValues> {
-    let mut calls: Vec<&Expr> = Vec::new();
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_unconditional_aggregates(expr, &mut calls);
-        }
-    }
-    for o in order_by {
-        collect_unconditional_aggregates(&o.expr, &mut calls);
-    }
-
-    let mut out = AggValues::new();
-    for wexpr in calls {
-        let key = wexpr.to_string();
-        if out.contains_key(&key) {
-            continue;
-        }
-        let Expr::Function(call) = wexpr else {
-            continue;
-        };
-        if call.star {
-            let mut vals = Vec::with_capacity(units.len());
-            for unit in units {
-                let mut acc = Accumulator::for_function(&call.name, call.distinct, true)?;
-                for _ in &unit.members {
-                    acc.update(&Value::Integer(1))?;
-                }
-                vals.push(acc.finish());
-            }
-            out.insert(key, vals);
-            continue;
-        }
-        if call.args.len() != 1 {
-            continue; // let the accumulator path raise the exact error
-        }
-        let Some(v) = vector::bind(&call.args[0], cols, outer) else {
-            continue;
-        };
-        // Evaluate the argument once over every member of every unit.
-        let sel: Vec<u32> = units
+    let keys: Vec<Arc<Array>> = match bound {
+        Some(vs) => vs
             .iter()
-            .flat_map(|u| u.members.iter().map(|&i| i as u32))
-            .collect();
-        let arr = vector::eval(&v, chunk, Sel::Idx(&sel))?;
-        let mut vals = Vec::with_capacity(units.len());
-        let mut off = 0usize;
-        for unit in units {
-            let mut acc = Accumulator::for_function(&call.name, call.distinct, false)?;
-            for k in 0..unit.members.len() {
-                acc.update(&arr.get(off + k))?;
+            .map(|v| vector::eval(v, &rows.chunk, rows.sel()))
+            .collect::<EngineResult<_>>()?,
+        None => {
+            let rel = rows.relation();
+            let mut vals: Vec<Vec<Value>> = select
+                .group_by
+                .iter()
+                .map(|_| Vec::with_capacity(n))
+                .collect();
+            for row in &rel.rows {
+                let scope = Scope::row_scope(&rel.cols, row, outer);
+                for (g, col) in select.group_by.iter().zip(&mut vals) {
+                    col.push(eval_expr(g, &scope, env)?);
+                }
             }
-            off += unit.members.len();
-            vals.push(acc.finish());
+            vals.into_iter()
+                .map(|v| Arc::new(Array::from_values(v)))
+                .collect()
         }
-        out.insert(key, vals);
-    }
-    Ok(out)
+    };
+    Ok(match keys.as_slice() {
+        // One key probes with a borrowed key: no allocation per row.
+        [k] => assign_groups(n, |i| key_ref(k.at(i))),
+        _ => assign_groups(n, |i| {
+            keys.iter().map(|k| key_ref(k.at(i))).collect::<Vec<_>>()
+        }),
+    })
 }
 
-/// Pre-compute aggregate values for the fast aggregated path by a
-/// single scan over the chunk, routing each row to its group's
-/// accumulator via `gids`. Per-group accumulation sequences are
-/// identical to the interpreter's (each group sees its members in
-/// ascending row order), so order-sensitive state — float summation,
-/// DISTINCT insertion, overflow — matches exactly. Caller guarantees
-/// every call is COUNT(*) or a one-argument call whose argument lowers.
-fn precompute_aggregates_by_gid(
+fn assign_groups<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> K) -> (Vec<Unit>, Vec<u32>) {
+    let mut index: HashMap<K, u32> = HashMap::new();
+    let mut units: Vec<Unit> = Vec::new();
+    let mut gids: Vec<u32> = Vec::with_capacity(n);
+    for i in 0..n {
+        let g = *index.entry(key(i)).or_insert_with(|| {
+            units.push(Unit {
+                rep: i,
+                members: Vec::new(),
+            });
+            (units.len() - 1) as u32
+        });
+        units[g as usize].members.push(i);
+        gids.push(g);
+    }
+    (units, gids)
+}
+
+/// Accumulate the aggregate `calls` in one scan over the rows, routing
+/// each position to its group's accumulator by `gids` (`u32::MAX`: a
+/// group HAVING dropped, never evaluated). Each group sees its members
+/// in ascending order, as the interpreter accumulates them, so float
+/// sums, DISTINCT sets and overflow match exactly. Only COUNT(*) and
+/// one-argument calls whose argument lowers are precomputed; the rest
+/// stay on the accumulator path, which raises their exact errors.
+fn precompute_aggregates(
     calls: &[&Expr],
-    cols: &[ColMeta],
-    chunk: &DataChunk,
-    units: &[Unit],
+    rows: &Rows,
+    groups: usize,
     gids: &[u32],
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<AggValues> {
+    let dropped = gids.contains(&u32::MAX);
+    let (live_rows, live_gids): (Vec<u32>, Vec<u32>) = if dropped {
+        let sel = rows.sel();
+        (0..gids.len())
+            .filter(|&p| gids[p] != u32::MAX)
+            .map(|p| (sel.at(p), gids[p]))
+            .unzip()
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let (sel, gids) = if dropped {
+        (Sel::Idx(&live_rows), &live_gids[..])
+    } else {
+        (rows.sel(), gids)
+    };
+
     let mut out = AggValues::new();
-    for wexpr in calls {
-        let key = wexpr.to_string();
+    for &expr in calls {
+        let key = expr.to_string();
+        let Expr::Function(call) = expr else {
+            continue;
+        };
         if out.contains_key(&key) {
             continue;
         }
-        let Expr::Function(call) = *wexpr else {
-            continue;
+        let arg = match call.args.as_slice() {
+            _ if call.star => None,
+            [arg] => match vector::bind(arg, &rows.cols, outer) {
+                Some(v) => Some(vector::eval(&v, &rows.chunk, sel)?),
+                None => continue,
+            },
+            _ => continue,
         };
-        let mut accs: Vec<Accumulator> = Vec::with_capacity(units.len());
-        for _ in units {
-            accs.push(Accumulator::for_function(
-                &call.name,
-                call.distinct,
-                call.star,
-            )?);
-        }
-        if call.star {
-            for &g in gids {
-                accs[g as usize].update(&Value::Integer(1))?;
-            }
-        } else {
-            let Some(v) = vector::bind(&call.args[0], cols, outer) else {
-                continue;
-            };
-            let arr = vector::eval(&v, chunk, Sel::All)?;
-            for (i, &g) in gids.iter().enumerate() {
-                accs[g as usize].update(&arr.get(i))?;
+        let mut accs = (0..groups)
+            .map(|_| Accumulator::for_function(&call.name, call.distinct, call.star))
+            .collect::<EngineResult<Vec<_>>>()?;
+        for (i, &g) in gids.iter().enumerate() {
+            match &arg {
+                None => accs[g as usize].update(&Value::Integer(1))?,
+                Some(a) => accs[g as usize].update(&a.get(i))?,
             }
         }
         out.insert(key, accs.into_iter().map(Accumulator::finish).collect());
@@ -706,215 +652,130 @@ fn precompute_aggregates_by_gid(
     Ok(out)
 }
 
-/// The fast aggregated path: when the GROUP BY keys lower to batch
-/// expressions and every aggregate call is unconditional and
-/// batch-precomputable, the unit pipeline only ever reads representative
-/// rows — every aggregate resolves from the pre-computed `AggValues`
-/// before [`eval_expr`] would touch group members. So instead of
-/// materializing the whole filtered batch row-major, gather just the
-/// representatives (one row per group) and run [`finish_select`] on
-/// that. Returns `Ok(None)` when a precondition fails, deferring to the
-/// hybrid path. Caller guarantees: aggregated, no window calls, no
-/// HAVING.
-fn try_fast_agg(
-    select: &Select,
-    cols: &[ColMeta],
-    chunk: &DataChunk,
-    outer: Option<&Scope<'_>>,
-    env: &EvalEnv<'_>,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-) -> EngineResult<Option<ResultSet>> {
-    // Every aggregate call must be unconditional — conditionally
-    // evaluated calls (CASE branches, short-circuited operands) keep the
-    // interpreter's lazy accumulator path, which needs full group
-    // members. `uncond` is a sub-multiset of `all` by construction, so
-    // equal lengths mean the sets coincide.
-    let mut all_calls: Vec<&Expr> = Vec::new();
-    let mut uncond: Vec<&Expr> = Vec::new();
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggregate_calls(expr, &mut all_calls);
-            collect_unconditional_aggregates(expr, &mut uncond);
-        }
-    }
-    for o in order_by {
-        collect_aggregate_calls(&o.expr, &mut all_calls);
-        collect_unconditional_aggregates(&o.expr, &mut uncond);
-    }
-    if all_calls.len() != uncond.len() {
-        return Ok(None);
-    }
-    // Each call must be one precompute_aggregates handles: COUNT(*), or
-    // exactly one argument that lowers to a batch expression.
-    for call_expr in &all_calls {
-        let Expr::Function(call) = *call_expr else {
-            return Ok(None);
-        };
-        if call.star {
-            continue;
-        }
-        if call.args.len() != 1 || vector::bind(&call.args[0], cols, outer).is_none() {
-            return Ok(None);
-        }
-    }
-
-    let (units, gids) = if select.group_by.is_empty() {
-        // One implicit unit over every surviving row (rep = usize::MAX
-        // projects the empty-group row, as in the interpreter).
-        let units = vec![Unit {
-            rep: if chunk.is_empty() { usize::MAX } else { 0 },
-            members: (0..chunk.len()).collect(),
-        }];
-        (units, vec![0u32; chunk.len()])
-    } else {
-        match vectorized_group_units(&select.group_by, cols, chunk, outer)? {
-            Some(ug) => ug,
-            None => return Ok(None),
-        }
-    };
-
-    let aggs = precompute_aggregates_by_gid(&all_calls, cols, chunk, &units, &gids, outer)?;
-    // Safety net: if any call still missed the pre-computed map, the
-    // accumulator path would aggregate over a representative-only group
-    // and silently produce wrong values — fall back instead. (The
-    // eligibility checks above make this unreachable.)
-    if all_calls.iter().any(|c| !aggs.contains_key(&c.to_string())) {
-        return Ok(None);
-    }
-    if !select.group_by.is_empty() {
-        physical::with_counters(|c| c.agg_groups += units.len() as u64);
-    }
-
-    // Representative rows only, with units renumbered into the slim
-    // relation. Unit order is preserved, so `unit_index` keeps matching
-    // the pre-computed aggregate slots.
-    let mut reps: Vec<u32> = Vec::with_capacity(units.len());
-    let mut slim_units: Vec<Unit> = Vec::with_capacity(units.len());
-    for u in &units {
-        if u.rep == usize::MAX {
-            slim_units.push(Unit {
-                rep: usize::MAX,
-                members: Vec::new(),
-            });
-        } else {
-            let ri = reps.len();
-            reps.push(u.rep as u32);
-            slim_units.push(Unit {
-                rep: ri,
-                members: vec![ri],
-            });
-        }
-    }
-    let rel = Relation {
-        cols: cols.to_vec(),
-        rows: chunk.take(&reps).into_rows(),
-    };
-    let windows = WindowValues::new();
-    finish_select(
-        select,
-        &rel,
-        &slim_units,
-        &windows,
-        Some(&aggs),
-        outer,
-        env,
-        order_by,
-        limit,
-        true,
-    )
-    .map(Some)
+/// Evaluates expressions once per projection unit.
+struct Projection<'a> {
+    rows: &'a Rows,
+    units: &'a [Unit],
+    outer: Option<&'a Scope<'a>>,
+    env: &'a EvalEnv<'a>,
+    windows: &'a WindowValues,
+    aggs: &'a AggValues,
+    aggregated: bool,
+    /// Chunk rows of the unit representatives; `None` when those are
+    /// exactly the rows' positions in order.
+    reps: Option<Vec<u32>>,
+    /// The single empty implicit group, which has no row to lower over.
+    empty_group: bool,
 }
 
-/// The fully columnar SELECT path: project column batches, then order /
-/// dedup / limit by index. Returns `Ok(None)` when some expression does
-/// not lower, sending the query to the hybrid path instead.
-fn try_pure_path(
-    select: &Select,
-    cols_meta: &[ColMeta],
-    chunk: &DataChunk,
-    keep: Option<&[u32]>,
-    outer: Option<&Scope<'_>>,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-) -> EngineResult<Option<ResultSet>> {
-    // `keep` is the WHERE survivor selection over `chunk` (None = all
-    // rows). Projecting through it gathers only the columns the query
-    // actually touches.
-    let n = keep.map_or(chunk.len(), <[u32]>::len);
-    let sel = keep.map_or(Sel::All, Sel::Idx);
-    let source_col = |ci: usize| match keep {
-        None => Arc::clone(&chunk.cols[ci]),
-        Some(k) => Arc::new(chunk.cols[ci].gather(k)),
-    };
-    let mut out_cols: Vec<String> = Vec::new();
-    let mut arrays: Vec<Arc<Array>> = Vec::new();
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (ci, c) in cols_meta.iter().enumerate() {
-                    out_cols.push(c.name.clone());
-                    arrays.push(source_col(ci));
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let mut any = false;
-                for (ci, c) in cols_meta.iter().enumerate() {
-                    if c.qualifier
-                        .as_deref()
-                        .map(|cq| cq.eq_ignore_ascii_case(q))
-                        .unwrap_or(false)
-                    {
-                        any = true;
-                        out_cols.push(c.name.clone());
-                        arrays.push(source_col(ci));
-                    }
-                }
-                // The interpreter only raises this when projecting a row.
-                if !any && n > 0 {
-                    return Err(EngineError::binding(format!("no such table alias {q}")));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let Some(v) = vector::bind(expr, cols_meta, outer) else {
-                    return Ok(None);
-                };
-                out_cols.push(output_name(expr, alias.as_deref()));
-                arrays.push(vector::eval(&v, chunk, sel)?);
-            }
+impl<'a> Projection<'a> {
+    fn new(
+        rows: &'a Rows,
+        units: &'a [Unit],
+        outer: Option<&'a Scope<'a>>,
+        env: &'a EvalEnv<'a>,
+        windows: &'a WindowValues,
+        aggs: &'a AggValues,
+        aggregated: bool,
+    ) -> Projection<'a> {
+        let identity =
+            units.len() == rows.len() && units.iter().enumerate().all(|(i, u)| u.rep == i);
+        let sel = rows.sel();
+        let reps = (!identity).then(|| {
+            units
+                .iter()
+                .filter(|u| u.rep != usize::MAX)
+                .map(|u| sel.at(u.rep))
+                .collect()
+        });
+        Projection {
+            rows,
+            units,
+            outer,
+            env,
+            windows,
+            aggs,
+            aggregated,
+            reps,
+            empty_group: units.iter().any(|u| u.rep == usize::MAX),
         }
     }
 
-    // ORDER BY keys, aligned with output row positions.
-    let mut order: Vec<usize> = (0..n).collect();
+    fn rep_sel(&self) -> Sel<'_> {
+        match &self.reps {
+            Some(r) => Sel::Idx(r),
+            None => self.rows.sel(),
+        }
+    }
+
+    /// Source column `ci` at every unit's representative.
+    fn source_column(&self, ci: usize) -> Arc<Array> {
+        let col = &self.rows.chunk.cols[ci];
+        match self.rep_sel() {
+            Sel::All => Arc::clone(col),
+            Sel::Idx(idx) => Arc::new(col.gather(idx)),
+        }
+    }
+
+    /// `expr` for every unit: batch-evaluated over the representatives
+    /// when it lowers, else row by row in the unit's scope.
+    fn column(&self, expr: &Expr) -> EngineResult<Arc<Array>> {
+        if !self.empty_group {
+            if let Some(v) = vector::bind(expr, &self.rows.cols, self.outer) {
+                return vector::eval(&v, &self.rows.chunk, self.rep_sel());
+            }
+        }
+        let rel = self.rows.relation();
+        let mut vals = Vec::with_capacity(self.units.len());
+        for (ui, unit) in self.units.iter().enumerate() {
+            let scope = unit_scope(
+                rel,
+                unit,
+                self.outer,
+                Some(self.windows),
+                Some(self.aggs),
+                ui,
+                self.aggregated,
+            );
+            vals.push(eval_expr(expr, &scope, self.env)?);
+        }
+        Ok(Arc::new(Array::from_values(vals)))
+    }
+}
+
+// ----------------------------------------------------------------------
+// ORDER BY, DISTINCT, LIMIT
+// ----------------------------------------------------------------------
+
+/// Apply ORDER BY, DISTINCT and LIMIT by index to `n` output rows held
+/// as columns. `expr_key` supplies the sort key of an ORDER BY item that
+/// names no output column.
+fn finish(
+    columns: Vec<String>,
+    arrays: Vec<Arc<Array>>,
+    n: usize,
+    order_by: &[OrderItem],
+    distinct: bool,
+    limit: Option<u64>,
+    mut expr_key: impl FnMut(&Expr) -> EngineResult<Arc<Array>>,
+) -> EngineResult<ResultSet> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
     if !order_by.is_empty() {
-        let mut keys: Vec<Vec<Value>> = vec![Vec::new(); n];
+        let mut keys: Vec<Vec<Value>> =
+            (0..n).map(|_| Vec::with_capacity(order_by.len())).collect();
         for item in order_by {
-            match order_key_source(item, &out_cols)? {
-                OrderSource::OutputColumn(ci) => {
-                    for (ri, key) in keys.iter_mut().enumerate() {
-                        key.push(arrays[ci].get(ri));
-                    }
-                }
-                OrderSource::Expression => {
-                    if select.distinct {
-                        return Err(EngineError::typing(
-                            "ORDER BY expression must appear in SELECT DISTINCT output",
-                        ));
-                    }
-                    let Some(v) = vector::bind(&item.expr, cols_meta, outer) else {
-                        return Ok(None);
-                    };
-                    let arr = vector::eval(&v, chunk, sel)?;
-                    for (ri, key) in keys.iter_mut().enumerate() {
-                        key.push(arr.get(ri));
-                    }
-                }
+            let key = match order_key_source(item, &columns)? {
+                OrderSource::OutputColumn(ci) => Arc::clone(&arrays[ci]),
+                OrderSource::Expression => expr_key(&item.expr)?,
+            };
+            for (ri, k) in keys.iter_mut().enumerate() {
+                k.push(key.get(ri));
             }
         }
         order.sort_by(|&a, &b| {
+            let (ka, kb) = (&keys[a as usize], &keys[b as usize]);
             for (k, item) in order_by.iter().enumerate() {
-                let ord = keys[a][k].total_cmp(&keys[b][k]);
+                let ord = ka[k].total_cmp(&kb[k]);
                 let ord = if item.desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -923,194 +784,29 @@ fn try_pure_path(
             a.cmp(&b) // stable
         });
     }
-
-    // DISTINCT (after ORDER BY keeps the first occurrence in sort order).
-    let mut final_idx: Vec<u32> = Vec::with_capacity(order.len());
-    if select.distinct {
-        let mut seen: std::collections::HashSet<Vec<KeyElem>> = std::collections::HashSet::new();
-        for &ri in &order {
-            let k: Vec<KeyElem> = arrays.iter().map(|a| key_elem(&a.get(ri))).collect();
-            if seen.insert(k) {
-                final_idx.push(ri as u32);
-            }
-        }
-    } else {
-        final_idx.extend(order.iter().map(|&i| i as u32));
+    // DISTINCT after ORDER BY keeps the first occurrence in sort order.
+    if distinct {
+        let mut seen: HashSet<Vec<KeyElem>> = HashSet::new();
+        order.retain(|&ri| {
+            seen.insert(
+                arrays
+                    .iter()
+                    .map(|a| key_elem(&a.get(ri as usize)))
+                    .collect(),
+            )
+        });
     }
     if let Some(cap) = limit {
-        final_idx.truncate(cap as usize);
+        order.truncate(cap as usize);
     }
-
-    let identity =
-        final_idx.len() == n && final_idx.iter().enumerate().all(|(i, &v)| v == i as u32);
-    let out_chunk = if identity {
+    let identity = order.len() == n && order.iter().enumerate().all(|(i, &v)| v == i as u32);
+    let chunk = if identity {
         DataChunk::new(arrays, n)
     } else {
-        let gathered = arrays
-            .iter()
-            .map(|a| Arc::new(a.gather(&final_idx)))
-            .collect();
-        DataChunk::new(gathered, final_idx.len())
+        let gathered = arrays.iter().map(|a| Arc::new(a.gather(&order))).collect();
+        DataChunk::new(gathered, order.len())
     };
-    Ok(Some(ResultSet::from_chunk(out_cols, out_chunk)))
-}
-
-// ----------------------------------------------------------------------
-// Shared SELECT finishing: projection, ORDER BY, DISTINCT, LIMIT
-// ----------------------------------------------------------------------
-
-/// Project units and apply ORDER BY / DISTINCT / LIMIT. Shared verbatim
-/// by the reference interpreter (`aggs: None`) and the hybrid vectorized
-/// path (`aggs` carrying pre-computed per-unit aggregate values).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_select(
-    select: &Select,
-    rel: &Relation,
-    units: &[Unit],
-    windows: &WindowValues,
-    aggs: Option<&AggValues>,
-    outer: Option<&Scope<'_>>,
-    env: &EvalEnv<'_>,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-    aggregated: bool,
-) -> EngineResult<ResultSet> {
-    // Projection.
-    let mut out_cols: Vec<String> = Vec::new();
-    let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(units.len());
-    let mut first = true;
-    for (ui, unit) in units.iter().enumerate() {
-        let scope = unit_scope(rel, unit, outer, Some(windows), aggs, ui, aggregated);
-        let mut row: Vec<Value> = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            match item {
-                SelectItem::Wildcard => {
-                    if aggregated {
-                        return Err(EngineError::typing(
-                            "SELECT * is not allowed with GROUP BY / aggregates",
-                        ));
-                    }
-                    if first {
-                        out_cols.extend(rel.cols.iter().map(|c| c.name.clone()));
-                    }
-                    row.extend(rel.rows[unit.rep].iter().cloned());
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    if aggregated {
-                        return Err(EngineError::typing(
-                            "qualified * is not allowed with GROUP BY / aggregates",
-                        ));
-                    }
-                    let mut any = false;
-                    for (ci, col) in rel.cols.iter().enumerate() {
-                        if col
-                            .qualifier
-                            .as_deref()
-                            .map(|cq| cq.eq_ignore_ascii_case(q))
-                            .unwrap_or(false)
-                        {
-                            any = true;
-                            if first {
-                                out_cols.push(col.name.clone());
-                            }
-                            row.push(rel.rows[unit.rep][ci].clone());
-                        }
-                    }
-                    if !any {
-                        return Err(EngineError::binding(format!("no such table alias {q}")));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    if first {
-                        out_cols.push(output_name(expr, alias.as_deref()));
-                    }
-                    row.push(eval_expr(expr, &scope, env)?);
-                }
-            }
-        }
-        out_rows.push(row);
-        first = false;
-    }
-    if units.is_empty() {
-        // Still need output column names for empty results.
-        for item in &select.items {
-            match item {
-                SelectItem::Wildcard => out_cols.extend(rel.cols.iter().map(|c| c.name.clone())),
-                SelectItem::QualifiedWildcard(q) => {
-                    for col in &rel.cols {
-                        if col
-                            .qualifier
-                            .as_deref()
-                            .map(|cq| cq.eq_ignore_ascii_case(q))
-                            .unwrap_or(false)
-                        {
-                            out_cols.push(col.name.clone());
-                        }
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    out_cols.push(output_name(expr, alias.as_deref()))
-                }
-            }
-        }
-    }
-
-    // ORDER BY: compute sort keys aligned with projected rows.
-    if !order_by.is_empty() {
-        let mut keys: Vec<Vec<Value>> = vec![Vec::new(); out_rows.len()];
-        for item in order_by {
-            match order_key_source(item, &out_cols)? {
-                OrderSource::OutputColumn(ci) => {
-                    for (ri, row) in out_rows.iter().enumerate() {
-                        keys[ri].push(row[ci].clone());
-                    }
-                }
-                OrderSource::Expression => {
-                    if select.distinct {
-                        return Err(EngineError::typing(
-                            "ORDER BY expression must appear in SELECT DISTINCT output",
-                        ));
-                    }
-                    for (ui, unit) in units.iter().enumerate() {
-                        let scope =
-                            unit_scope(rel, unit, outer, Some(windows), aggs, ui, aggregated);
-                        keys[ui].push(eval_expr(&item.expr, &scope, env)?);
-                    }
-                }
-            }
-        }
-        let mut order: Vec<usize> = (0..out_rows.len()).collect();
-        order.sort_by(|&a, &b| {
-            for (k, item) in order_by.iter().enumerate() {
-                let ord = keys[a][k].total_cmp(&keys[b][k]);
-                let ord = if item.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b) // stable
-        });
-        let mut sorted = Vec::with_capacity(out_rows.len());
-        for i in order {
-            sorted.push(std::mem::take(&mut out_rows[i]));
-        }
-        out_rows = sorted;
-    }
-
-    // DISTINCT (after ORDER BY keeps the first occurrence in sort order).
-    if select.distinct {
-        let mut seen: std::collections::HashSet<Vec<KeyElem>> = std::collections::HashSet::new();
-        out_rows.retain(|row| seen.insert(row_key(row)));
-    }
-
-    if let Some(n) = limit {
-        out_rows.truncate(n as usize);
-    }
-
-    Ok(ResultSet {
-        columns: out_cols,
-        rows: out_rows,
-    })
+    Ok(ResultSet::from_chunk(columns, chunk))
 }
 
 pub(crate) fn output_name(expr: &Expr, alias: Option<&str>) -> String {
@@ -1153,36 +849,6 @@ pub(crate) fn order_key_source(item: &OrderItem, out_cols: &[String]) -> EngineR
         }
         _ => Ok(OrderSource::Expression),
     }
-}
-
-/// Sort a finished result by output column names / positions only (used
-/// for ORDER BY over set operations).
-fn sort_result_by_output(rs: &mut ResultSet, order_by: &[OrderItem]) -> EngineResult<()> {
-    if order_by.is_empty() {
-        return Ok(());
-    }
-    let mut key_cols = Vec::with_capacity(order_by.len());
-    for item in order_by {
-        match order_key_source(item, &rs.columns)? {
-            OrderSource::OutputColumn(ci) => key_cols.push((ci, item.desc)),
-            OrderSource::Expression => {
-                return Err(EngineError::typing(
-                    "ORDER BY over a set operation must reference output columns",
-                ))
-            }
-        }
-    }
-    rs.rows.sort_by(|a, b| {
-        for &(ci, desc) in &key_cols {
-            let ord = a[ci].total_cmp(&b[ci]);
-            let ord = if desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok(())
 }
 #[cfg(test)]
 mod tests {

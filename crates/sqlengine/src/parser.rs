@@ -57,10 +57,21 @@ const RESERVED: &[&str] = &[
     "FALSE",
 ];
 
+/// The deepest nesting the parser accepts. A query, an expression, a
+/// parenthesised or negated operand, and each further link of an
+/// operator, set-operation or join chain is one level. Deeper input is a
+/// parse error, which bounds every recursive walk over the AST
+/// (execution, analysis, display, drop) so that no statement can
+/// overflow the stack of the thread that runs it.
+pub const MAX_NESTING: usize = 64;
+
 /// Parse a single SQL statement (a query, optionally `;`-terminated).
 pub fn parse_statement(sql: &str) -> EngineResult<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: tokenize(sql)?,
+        pos: 0,
+        depth: 0,
+    };
     let query = p.parse_query()?;
     p.eat_kind(&TokenKind::Semicolon);
     if let Some(tok) = p.peek() {
@@ -74,8 +85,11 @@ pub fn parse_statement(sql: &str) -> EngineResult<Statement> {
 
 /// Parse a standalone scalar expression.
 pub fn parse_expression(sql: &str) -> EngineResult<Expr> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: tokenize(sql)?,
+        pos: 0,
+        depth: 0,
+    };
     let expr = p.parse_expr()?;
     if let Some(tok) = p.peek() {
         return Err(EngineError::parse(
@@ -89,6 +103,8 @@ pub fn parse_expression(sql: &str) -> EngineResult<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level, checked against [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -116,6 +132,16 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> EngineError {
         EngineError::parse(msg, self.offset())
+    }
+
+    /// Enter one more nesting level. Callers restore `depth` on success;
+    /// an error aborts the whole parse.
+    fn nest(&mut self) -> EngineResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting exceeds {MAX_NESTING} levels")));
+        }
+        Ok(())
     }
 
     /// Consume the next token if it is the given keyword.
@@ -192,6 +218,8 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_query(&mut self) -> EngineResult<Query> {
+        let depth = self.depth;
+        self.nest()?;
         let mut ctes = Vec::new();
         if self.eat_kw("WITH") {
             if self.peek_kw("RECURSIVE") {
@@ -234,6 +262,7 @@ impl Parser {
             }
         }
 
+        self.depth = depth;
         Ok(Query {
             ctes,
             body,
@@ -254,6 +283,7 @@ impl Parser {
     }
 
     fn parse_set_expr(&mut self) -> EngineResult<SetExpr> {
+        let depth = self.depth;
         let mut left = self.parse_set_term()?;
         loop {
             let op = if self.peek_kw("UNION") {
@@ -266,6 +296,7 @@ impl Parser {
                 break;
             };
             self.pos += 1;
+            self.nest()?;
             let all = self.eat_kw("ALL");
             let right = self.parse_set_term()?;
             left = SetExpr::SetOp {
@@ -275,14 +306,18 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_set_term(&mut self) -> EngineResult<SetExpr> {
         if self.eat_kind(&TokenKind::LParen) {
             // Parenthesized set expression or select.
+            let depth = self.depth;
+            self.nest()?;
             let inner = self.parse_set_expr()?;
             self.expect_kind(&TokenKind::RParen)?;
+            self.depth = depth;
             Ok(inner)
         } else {
             Ok(SetExpr::Select(Box::new(self.parse_select()?)))
@@ -386,6 +421,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_table_ref(&mut self) -> EngineResult<TableRef> {
+        let depth = self.depth;
         let mut left = self.parse_table_factor()?;
         loop {
             let kind = if self.peek_kw("JOIN") || self.peek_kw("INNER") {
@@ -411,6 +447,7 @@ impl Parser {
             } else {
                 break;
             };
+            self.nest()?;
             let right = self.parse_table_factor()?;
             let on = if kind != JoinKind::Cross && self.eat_kw("ON") {
                 Some(self.parse_expr()?)
@@ -426,6 +463,7 @@ impl Parser {
                 on,
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -454,24 +492,34 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_expr(&mut self) -> EngineResult<Expr> {
-        self.parse_or()
+        let depth = self.depth;
+        self.nest()?;
+        let expr = self.parse_or()?;
+        self.depth = depth;
+        Ok(expr)
     }
 
     fn parse_or(&mut self) -> EngineResult<Expr> {
+        let depth = self.depth;
         let mut left = self.parse_and()?;
         while self.eat_kw("OR") {
+            self.nest()?;
             let right = self.parse_and()?;
             left = Expr::binary(left, BinaryOp::Or, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_and(&mut self) -> EngineResult<Expr> {
+        let depth = self.depth;
         let mut left = self.parse_not()?;
         while self.eat_kw("AND") {
+            self.nest()?;
             let right = self.parse_not()?;
             left = Expr::binary(left, BinaryOp::And, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -497,7 +545,10 @@ impl Parser {
             });
         }
         if self.eat_kw("NOT") {
+            let depth = self.depth;
+            self.nest()?;
             let inner = self.parse_not()?;
+            self.depth = depth;
             Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -599,6 +650,7 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> EngineResult<Expr> {
+        let depth = self.depth;
         let mut left = self.parse_multiplicative()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -608,13 +660,16 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.nest()?;
             let right = self.parse_multiplicative()?;
             left = Expr::binary(left, op, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_multiplicative(&mut self) -> EngineResult<Expr> {
+        let depth = self.depth;
         let mut left = self.parse_unary()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -624,15 +679,20 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.nest()?;
             let right = self.parse_unary()?;
             left = Expr::binary(left, op, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn parse_unary(&mut self) -> EngineResult<Expr> {
+        let depth = self.depth;
         if self.eat_kind(&TokenKind::Minus) {
+            self.nest()?;
             let inner = self.parse_unary()?;
+            self.depth = depth;
             // Fold negation into numeric literals so `-5` is one canonical
             // AST node; the printer relies on this for round-tripping.
             return Ok(match inner {
@@ -645,7 +705,10 @@ impl Parser {
             });
         }
         if self.eat_kind(&TokenKind::Plus) {
-            return self.parse_unary();
+            self.nest()?;
+            let inner = self.parse_unary()?;
+            self.depth = depth;
+            return Ok(inner);
         }
         self.parse_primary()
     }
@@ -1134,5 +1197,44 @@ mod tests {
         "#;
         let q = parse_ok(sql);
         assert_eq!(q.ctes.len(), 3);
+    }
+
+    #[test]
+    fn nesting_limit_holds_on_a_default_thread_stack() {
+        // Serve workers run on default 2 MiB threads, where a stack
+        // overflow aborts the process instead of panicking. Each shape
+        // is at the limit: the query and its select item are the first
+        // two levels, and a nested scalar subquery costs two per level.
+        type Shape = fn(usize) -> String;
+        let shapes: [(Shape, usize); 4] = [
+            (
+                |k| format!("SELECT {}1{}", "(".repeat(k), ")".repeat(k)),
+                MAX_NESTING - 2,
+            ),
+            (
+                |k| format!("SELECT {}TRUE", "NOT ".repeat(k)),
+                MAX_NESTING - 2,
+            ),
+            (|k| format!("SELECT 1{}", " + 1".repeat(k)), MAX_NESTING - 2),
+            (
+                |k| format!("SELECT {}1{}", "(SELECT ".repeat(k), ")".repeat(k)),
+                (MAX_NESTING - 2) / 2,
+            ),
+        ];
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let run = move || {
+            let db = crate::catalog::Database::new("deep");
+            for (shape, limit) in shapes {
+                let sql = shape(limit);
+                let stmt = parse_statement(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                assert!(!stmt.to_string().is_empty());
+                crate::exec::execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                for too_deep in [limit + 1, 800] {
+                    let err = parse_statement(&shape(too_deep)).unwrap_err();
+                    assert!(matches!(err, EngineError::Parse { .. }), "{err}");
+                }
+            }
+        };
+        worker.spawn(run).unwrap().join().unwrap();
     }
 }

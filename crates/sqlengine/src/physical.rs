@@ -14,10 +14,9 @@
 
 use crate::array::{ArrayBuilder, DataChunk, ValueRef};
 use crate::ast::{BinaryOp, Expr, JoinKind, TableRef};
-use crate::catalog::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr, ColMeta, EvalEnv, Relation, Scope};
-use crate::exec::{execute_query_with_outer, CteMap};
+use crate::eval::{eval_expr, ColMeta, EvalEnv, Scope};
+use crate::exec::execute_query_with_outer;
 use crate::key::float_key_bits;
 use crate::value::Value;
 use std::cell::Cell;
@@ -86,16 +85,6 @@ pub struct Source {
     pub chunk: DataChunk,
 }
 
-impl Source {
-    /// Materialize as a row-major [`Relation`] for interpreter fallback.
-    pub fn to_relation(&self) -> Relation {
-        Relation {
-            cols: self.cols.clone(),
-            rows: self.chunk.to_rows(),
-        }
-    }
-}
-
 fn chunk_from_row_refs(rows: &[Vec<Value>], width: usize) -> DataChunk {
     let mut builders: Vec<ArrayBuilder> = (0..width)
         .map(|_| ArrayBuilder::with_capacity(rows.len()))
@@ -119,15 +108,14 @@ fn chunk_from_row_refs(rows: &[Vec<Value>], width: usize) -> DataChunk {
 
 /// Resolve a FROM clause into a columnar [`Source`], joining as needed.
 pub fn resolve_from_columnar(
-    db: &Database,
+    env: &EvalEnv<'_>,
     tr: &TableRef,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Source> {
     match tr {
         TableRef::Named { name, alias } => {
             let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-            if let Some(rs) = ctes.get(&name.to_lowercase()) {
+            if let Some(rs) = env.ctes.get(&name.to_lowercase()) {
                 let cols = rs
                     .columns
                     .iter()
@@ -140,7 +128,8 @@ pub fn resolve_from_columnar(
                 });
                 return Ok(Source { cols, chunk });
             }
-            let table = db
+            let table = env
+                .db
                 .table(name)
                 .ok_or_else(|| EngineError::binding(format!("no such table {name}")))?;
             let cols = table
@@ -156,7 +145,7 @@ pub fn resolve_from_columnar(
             Ok(Source { cols, chunk })
         }
         TableRef::Derived { query, alias } => {
-            let rs = execute_query_with_outer(db, query, ctes, None)?;
+            let rs = execute_query_with_outer(env, query, None)?;
             let cols = rs
                 .columns
                 .iter()
@@ -174,9 +163,9 @@ pub fn resolve_from_columnar(
             kind,
             on,
         } => {
-            let l = resolve_from_columnar(db, left, ctes, outer)?;
-            let r = resolve_from_columnar(db, right, ctes, outer)?;
-            join_columnar(db, ctes, outer, l, r, *kind, on.as_ref())
+            let l = resolve_from_columnar(env, left, outer)?;
+            let r = resolve_from_columnar(env, right, outer)?;
+            join_columnar(env, outer, l, r, *kind, on.as_ref())
         }
     }
 }
@@ -200,8 +189,7 @@ fn gather_sides(l: &Source, r: &Source, lidx: &[u32], ridx: &[u32], len: usize) 
 /// Join two columnar sources, preserving the reference engine's
 /// left-major row emission order exactly.
 pub fn join_columnar(
-    db: &Database,
-    ctes: &CteMap,
+    env: &EvalEnv<'_>,
     outer: Option<&Scope<'_>>,
     l: Source,
     r: Source,
@@ -230,7 +218,7 @@ pub fn join_columnar(
             if let Some(pairs) = plan_hash_join(pred, &cols, l.cols.len(), &l, &r) {
                 Ok(hash_join(l, r, cols, kind, &pairs))
             } else {
-                nested_loop_join(db, ctes, outer, l, r, cols, kind, pred)
+                nested_loop_join(env, outer, l, r, cols, kind, pred)
             }
         }
     }
@@ -492,10 +480,8 @@ fn hash_join(
     Source { cols, chunk }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn nested_loop_join(
-    db: &Database,
-    ctes: &CteMap,
+    env: &EvalEnv<'_>,
     outer: Option<&Scope<'_>>,
     l: Source,
     r: Source,
@@ -504,7 +490,6 @@ fn nested_loop_join(
     pred: &Expr,
 ) -> EngineResult<Source> {
     with_counters(|c| c.nested_loop_joins += 1);
-    let env = EvalEnv { db, ctes };
     let lrows = l.chunk.to_rows();
     let rrows = r.chunk.to_rows();
     let mut out_rows = Vec::new();
@@ -513,16 +498,8 @@ fn nested_loop_join(
         for rrow in &rrows {
             let mut combined = lrow.clone();
             combined.extend(rrow.iter().cloned());
-            let scope = Scope {
-                cols: &cols,
-                row: &combined,
-                parent: outer,
-                group: None,
-                windows: None,
-                aggs: None,
-                unit_index: 0,
-            };
-            if eval_expr(pred, &scope, &env)?.as_bool()? == Some(true) {
+            let scope = Scope::row_scope(&cols, &combined, outer);
+            if eval_expr(pred, &scope, env)?.as_bool()? == Some(true) {
                 matched = true;
                 out_rows.push(combined);
             }
@@ -544,7 +521,17 @@ fn nested_loop_join(
 mod tests {
     use super::*;
     use crate::ast::Expr as E;
-    use crate::catalog::Table;
+    use crate::catalog::{Database, Table};
+    use crate::exec::CteMap;
+
+    fn with_env<T>(db: &Database, f: impl FnOnce(&EvalEnv<'_>) -> T) -> T {
+        let ctes = CteMap::new();
+        f(&EvalEnv {
+            db,
+            ctes: &ctes,
+            select: crate::exec::exec_select,
+        })
+    }
 
     fn src(names: &[&str], rows: Vec<Vec<Value>>) -> Source {
         let width = names.len();
@@ -570,9 +557,8 @@ mod tests {
 
     fn run_join(l: Source, r: Source, kind: JoinKind, on: Expr) -> Vec<Vec<Value>> {
         let db = Database::new("test");
-        let ctes = CteMap::new();
-        let out =
-            join_columnar(&db, &ctes, None, l, r, kind, Some(&on)).expect("join should succeed");
+        let out = with_env(&db, |env| join_columnar(env, None, l, r, kind, Some(&on)))
+            .expect("join should succeed");
         out.chunk.to_rows()
     }
 
@@ -701,10 +687,12 @@ mod tests {
     #[test]
     fn cross_join_is_left_major() {
         let db = Database::new("test");
-        let ctes = CteMap::new();
         let l = src(&["a"], vec![vec![i(1)], vec![i(2)]]);
         let r = src2("u", &["b"], vec![vec![t("x")], vec![t("y")]]);
-        let out = join_columnar(&db, &ctes, None, l, r, JoinKind::Cross, None).expect("cross join");
+        let out = with_env(&db, |env| {
+            join_columnar(env, None, l, r, JoinKind::Cross, None)
+        })
+        .expect("cross join");
         assert_eq!(
             out.chunk.to_rows(),
             vec![
@@ -735,7 +723,7 @@ mod tests {
             name: "NUMS".into(),
             alias: None,
         };
-        let srcr = resolve_from_columnar(&db, &tr, &CteMap::new(), None).expect("scan");
+        let srcr = with_env(&db, |env| resolve_from_columnar(env, &tr, None)).expect("scan");
         assert_eq!(srcr.chunk.len(), 5);
         let c = take_counters();
         assert_eq!(c.batches, 1);

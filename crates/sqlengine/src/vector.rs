@@ -5,8 +5,8 @@
 //! evaluates a [`VExpr`] for a whole selection of rows at once. Anything
 //! [`bind`] cannot lower (subqueries, aggregates, window calls, columns
 //! that would fail or be ambiguous to resolve) returns `None` and the
-//! planner falls back to the row-at-a-time interpreter for that
-//! expression, so error behavior matches the reference engine exactly.
+//! SELECT pipeline evaluates that expression row by row with
+//! `eval_expr`, so error behavior matches the reference engine exactly.
 //!
 //! The evaluator replicates the interpreter's semantics precisely:
 //! three-valued logic, `AND`/`OR` short-circuiting (the right side is

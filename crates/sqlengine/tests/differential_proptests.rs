@@ -270,6 +270,25 @@ fn arb_compound_query() -> impl Strategy<Value = String> {
         Just("SELECT (SELECT MAX(E) FROM U) AS m, A FROM T".to_string()),
         Just("SELECT x.C, x.n FROM (SELECT C, COUNT(*) AS n FROM T GROUP BY C) x ORDER BY 1"
             .to_string()),
+        Just("SELECT C, (SELECT MAX(E) FROM U) AS m, COUNT(*) AS n FROM T GROUP BY C ORDER BY 1"
+            .to_string()),
+        Just(
+            "SELECT C, SUM(A) AS s, CASE WHEN COUNT(*) > 1 THEN SUM(A) ELSE 0 END AS cs \
+             FROM T GROUP BY C ORDER BY 1"
+                .to_string()
+        ),
+        Just(
+            "SELECT C, COUNT(*) AS n, RANK() OVER (ORDER BY COUNT(*) DESC) AS r \
+             FROM T GROUP BY C HAVING COUNT(*) > 1 ORDER BY 1"
+                .to_string()
+        ),
+        Just("SELECT DISTINCT C, (SELECT MAX(E) FROM U) AS m FROM T ORDER BY A".to_string()),
+        Just("SELECT A, (SELECT MAX(E) FROM U) AS m FROM T ORDER BY 1 LIMIT 0".to_string()),
+        Just(
+            "SELECT C AS x, (SELECT COUNT(*) FROM U) AS n FROM T \
+             UNION SELECT D, E FROM U ORDER BY x DESC, n"
+                .to_string()
+        ),
     ]
 }
 
